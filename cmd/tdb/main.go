@@ -133,8 +133,8 @@ func run(args []string, out io.Writer) error {
 	}
 	st := res.Stats
 	batched := ""
-	if st.FilterBatchWidth > 0 {
-		batched = fmt.Sprintf(", filter-batches=%dx%d lanes", st.Detector.Batches, st.FilterBatchWidth)
+	if st.Detector.Batches > 0 {
+		batched = fmt.Sprintf(", filter-batches=%d", st.Detector.Batches)
 	}
 	fmt.Fprintf(os.Stderr, "%s k=%d minlen=%d [%s, %d workers]: cover=%d in %v (checked=%d, filter-pruned=%d, scc-skipped=%d%s)\n",
 		st.Algorithm, st.K, st.MinLen, st.Strategy, st.Workers,

@@ -31,11 +31,10 @@ type benchEntry struct {
 
 // benchReport is the BENCH_*.json document.
 type benchReport struct {
-	Generated        string                `json:"generated"`
-	GoVersion        string                `json:"go_version"`
-	GOMAXPROCS       int                   `json:"gomaxprocs"`
-	FilterBatchWidth int                   `json:"filter_batch_width"`
-	Benchmarks       map[string]benchEntry `json:"benchmarks"`
+	Generated  string                `json:"generated"`
+	GoVersion  string                `json:"go_version"`
+	GOMAXPROCS int                   `json:"gomaxprocs"`
+	Benchmarks map[string]benchEntry `json:"benchmarks"`
 }
 
 // measure runs fn repeatedly for at least budget (after one warm-up call)
@@ -160,11 +159,10 @@ func runBenchSuite(dir string, budget time.Duration) (string, error) {
 	}
 
 	rep := benchReport{
-		Generated:        time.Now().UTC().Format(time.RFC3339),
-		GoVersion:        runtime.Version(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		FilterBatchWidth: cycle.MaxBatchWidth,
-		Benchmarks:       make(map[string]benchEntry, len(suite)),
+		Generated:  time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Benchmarks: make(map[string]benchEntry, len(suite)),
 	}
 	for _, b := range suite {
 		rep.Benchmarks[b.name] = measure(budget, b.fn)

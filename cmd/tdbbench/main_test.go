@@ -6,8 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"tdb/internal/cycle"
 )
 
 // TestBenchMode runs the micro-benchmark suite with a tiny time budget and
@@ -28,9 +26,6 @@ func TestBenchMode(t *testing.T) {
 	var rep benchReport
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.FilterBatchWidth != cycle.MaxBatchWidth {
-		t.Fatalf("filter_batch_width = %d, want %d", rep.FilterBatchWidth, cycle.MaxBatchWidth)
 	}
 	for _, name := range []string{"CoverRepeated/Engine", "BFSFilterBatch/powerlaw"} {
 		e, ok := rep.Benchmarks[name]

@@ -180,9 +180,6 @@ func computeParallelWith(g digraph.Adjacency, algo Algorithm, opts Options, work
 					}
 					r.Stats.Checked += res.Stats.Checked
 					r.Stats.FilterPruned += res.Stats.FilterPruned
-					if res.Stats.FilterBatchWidth > r.Stats.FilterBatchWidth {
-						r.Stats.FilterBatchWidth = res.Stats.FilterBatchWidth
-					}
 					r.Stats.PrepassResolved += res.Stats.PrepassResolved
 					r.Stats.CyclesHit += res.Stats.CyclesHit
 					r.Stats.PruneRemoved += res.Stats.PruneRemoved

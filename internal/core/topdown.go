@@ -24,9 +24,9 @@ type working interface {
 
 // Tier-probe tuning. A probe round charges alternating stretches to the two
 // tiers until each has decided tierProbeCands candidates (stretches differ
-// in size across tiers — a batch window can be MaxBatchWidth wide while a
-// scalar stretch is one word — so rounds are sized in candidates, not
-// stretches). The committed span starts at tierCommitStretches and doubles
+// in candidate count — a batch window holds at most one word of candidates
+// but may hold fewer — so rounds are sized in candidates, not stretches).
+// The committed span starts at tierCommitStretches and doubles
 // every time a re-probe confirms the standing winner, capped at
 // tierCommitMax: on stable workloads — fast-hit graphs where the scalar
 // filter keeps winning — the loop stops paying for speculative batched
@@ -43,10 +43,11 @@ const (
 // Filter edge-scans per decided candidate are the signal — the detector's
 // work is identical under either tier (the decisions are the same), so
 // scans are the whole mode-dependent cost, and normalizing by candidates
-// lets a 512-wide batch stretch be compared against one-word scalar
-// stretches directly. Each probe round alternates stretches between the
-// tiers until both have decided tierProbeCands candidates, commits to the
-// cheaper one for an escalating span of stretches, then re-probes.
+// lets a batch stretch be compared against a scalar stretch of a
+// different candidate count directly. Each probe round alternates
+// stretches between the tiers until both have decided tierProbeCands
+// candidates, commits to the cheaper one for an escalating span of
+// stretches, then re-probes.
 type tierProbe struct {
 	started    bool
 	lastScans  int64
@@ -206,7 +207,6 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 			frank = rs.filterRankBuf(g.NumVertices())
 			filter = &rs.bpf
 			filter.Reinit(g, opts.K, frank, rs.cyc)
-			r.Stats.FilterBatchWidth = cycle.PickLanes(len(order))
 		}
 		// The prepass only pays off with real parallelism: at one effective
 		// worker it re-runs the filter queries the loop would run anyway,
@@ -220,16 +220,13 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 			if err != nil {
 				return nil, err
 			}
-			// The prepass answers its queries through the batched prefix
-			// filter on any path, one-shot included.
-			r.Stats.FilterBatchWidth = cycle.PickLanes(prepassChunk)
 		} else if filter != nil {
 			resolved = rs.resolvedBuf(g.NumVertices())
 		}
 	}
 
 	// Batched in-loop pruning (TDB++), tier one of the filter: candidates
-	// are pruned in lane groups of up to cycle.MaxBatchWidth ahead of
+	// are pruned in lane groups of up to cycle.BatchWidth ahead of
 	// processing.
 	// Lane i's filter graph — G0 plus the window scanned up to its member —
 	// is a superset of the member's sequential working graph (it
@@ -252,8 +249,8 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 	// re-probing periodically in case the answer changes as the working
 	// graph fills.
 	var (
-		batchBuf     [cycle.MaxBatchWidth]VID
-		prunedBuf    [cycle.MaxBatchWidth]bool
+		batchBuf     [cycle.BatchWidth]VID
+		prunedBuf    [cycle.BatchWidth]bool
 		batchedUpTo  int // order positions < batchedUpTo have been tier-assigned
 		stretchCands int64
 		probe        tierProbe
@@ -273,24 +270,10 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 		stretchCands += int64(seen)
 		return j
 	}
-	// Window widths climb a WidthLadder capped by the order length: wide
-	// lane groups amortize each edge scan over up to cycle.MaxBatchWidth
-	// queries, but whether that beats narrow groups' tighter inner loop
-	// and smaller lane slabs is machine- and workload-dependent, so the
-	// ladder times the widths against each other and widens only on a
-	// measured win (see cycle.WidthLadder). The ladder persists in the
-	// pooled scratch: repeated engine runs start at the settled width.
-	var ladder *cycle.WidthLadder
-	if filter != nil {
-		ladder, _ = rs.widthLadders(opts.K, len(order))
-		ladder.NewStream()
-	}
 	batchWindow := func(start int) {
-		width := ladder.Next()
-		filter.SetLanes(width)
 		batch := batchBuf[:0]
 		j := start
-		for ; j < len(order) && len(batch) < width; j++ {
+		for ; j < len(order) && len(batch) < cycle.BatchWidth; j++ {
 			v := order[j]
 			// Rank everything scanned by window offset — non-candidates
 			// and resolved vertices join the working graph when the loop
@@ -306,13 +289,7 @@ func topDown(g digraph.Adjacency, algo Algorithm, opts Options, rs *runScratch) 
 			return
 		}
 		pruned := prunedBuf[:len(batch)]
-		if ladder.Adapting() {
-			t0 := time.Now()
-			filter.CanPruneBatch(batch, pruned)
-			ladder.Observe(width, time.Since(t0), len(batch))
-		} else {
-			filter.CanPruneBatch(batch, pruned)
-		}
+		filter.CanPruneBatch(batch, pruned)
 		for i, v := range batch {
 			if pruned[i] {
 				// Proven: no constrained cycle through v in lane i's filter

@@ -3,6 +3,7 @@ package cycle
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"tdb/internal/digraph"
@@ -237,11 +238,28 @@ func TestBatchFilterViewTracksActivation(t *testing.T) {
 	}
 }
 
-// TestBatchBFSFilterWidthSweep is the wide-lane half of the tentpole's
-// equivalence property: for every supported lane-group width W (64, 256,
-// 512 lanes — the one-word body plus both wide strides), CanPruneBatch over
-// batches large enough to fill several groups must match the scalar filter
-// per lane, on both backends, including partial trailing groups.
+// callWidths are the CanPruneBatch call sizes the multi-group tests feed
+// their 600-source batches in. The lane width is fixed at BatchWidth, so
+// every schedule splits the batch into the same nine full groups plus a
+// partial group of 24 lanes (600 = 9*64+24); what varies is how many
+// groups one call spans (1, 4, 8 or all ten).
+var callWidths = []int{64, 256, 512, 600}
+
+// pruneInCalls answers src through prune in consecutive calls of at most
+// width sources, as a caller with a width-sized buffer would.
+func pruneInCalls(prune func([]VID, []bool), src []VID, width int) []bool {
+	got := make([]bool, len(src))
+	for lo := 0; lo < len(src); lo += width {
+		hi := min(lo+width, len(src))
+		prune(src[lo:hi], got[lo:hi])
+	}
+	return got
+}
+
+// TestBatchBFSFilterWidthSweep checks the multi-group split: a 600-source
+// batch, fed in calls of W sources, must match the scalar filter per lane
+// across the nine full 64-lane groups and the partial last group, and must
+// run exactly those ten groups.
 func TestBatchBFSFilterWidthSweep(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -253,28 +271,24 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 	for _, tc := range graphs {
 		n := tc.g.NumVertices()
 		for _, k := range []int{3, 5, 8} {
-			for _, lanes := range []int{64, 256, 512} {
-				t.Run(fmt.Sprintf("%s/k=%d/W=%d", tc.name, k, lanes), func(t *testing.T) {
-					rng := rand.New(rand.NewPCG(uint64(k*lanes), 99))
+			for _, width := range callWidths {
+				t.Run(fmt.Sprintf("%s/k=%d/W=%d", tc.name, k, width), func(t *testing.T) {
+					rng := rand.New(rand.NewPCG(uint64(k*width), 99))
 					active := make([]bool, n)
 					for v := range active {
 						active[v] = rng.IntN(5) > 0
 					}
 					scalar := NewBFSFilter(tc.g, k, active)
 					batch := NewBatchBFSFilter(tc.g, k, active)
-					batch.SetLanes(lanes)
-					if batch.Lanes() != lanes {
-						t.Fatalf("Lanes = %d after SetLanes(%d)", batch.Lanes(), lanes)
-					}
-					// 600 sources: full wide groups plus a ragged tail at
-					// every width (600 = 512+88 = 2*256+88 = 9*64+24).
 					src := batchSources(rng, n, 600)
-					got := make([]bool, len(src))
-					batch.CanPruneBatch(src, got)
+					got := pruneInCalls(batch.CanPruneBatch, src, width)
 					for i, s := range src {
 						if want := scalar.CanPrune(s); got[i] != want {
 							t.Fatalf("lane %d source %d: batch pruned=%v, scalar pruned=%v", i, s, got[i], want)
 						}
+					}
+					if batch.Stats.Batches != 10 {
+						t.Fatalf("ran %d groups, want 10", batch.Stats.Batches)
 					}
 				})
 			}
@@ -283,16 +297,16 @@ func TestBatchBFSFilterWidthSweep(t *testing.T) {
 }
 
 // TestBatchPrefixFilterWidthSweep is TestBatchBFSFilterWidthSweep for the
-// prefix filter: every width must reproduce the scalar per-lane prefix
-// answers, exercising the wide bodies' word-by-word suffix eligibility
-// masks across group-word boundaries.
+// prefix filter: every lane of every group must reproduce the scalar
+// per-lane prefix answer, with each group's suffix eligibility masks built
+// from its own sources' positions.
 func TestBatchPrefixFilterWidthSweep(t *testing.T) {
 	g := bfRandomGraph(700, 2800, 13)
 	n := g.NumVertices()
 	for _, k := range []int{3, 5, 8} {
-		for _, lanes := range []int{64, 256, 512} {
-			t.Run(fmt.Sprintf("k=%d/W=%d", k, lanes), func(t *testing.T) {
-				rng := rand.New(rand.NewPCG(uint64(k), uint64(lanes)))
+		for _, width := range callWidths {
+			t.Run(fmt.Sprintf("k=%d/W=%d", k, width), func(t *testing.T) {
+				rng := rand.New(rand.NewPCG(uint64(k), uint64(width)))
 				order := rng.Perm(n)
 				pos := make([]int32, n)
 				for p, v := range order {
@@ -301,45 +315,61 @@ func TestBatchPrefixFilterWidthSweep(t *testing.T) {
 				sc := NewScratch(n)
 				scalar := NewPrefixFilterWith(g, k, pos, sc)
 				batch := NewBatchPrefixFilterWith(g, k, pos, sc)
-				batch.SetLanes(lanes)
-				// An ascending-position slice long enough for full wide
-				// groups plus a ragged tail.
-				src := make([]VID, 0, 600)
-				for p := 0; p < n && len(src) < 600; p += 1 + rng.IntN(2) {
-					src = append(src, VID(order[p]))
+				// 600 random order positions, ascending.
+				picked := rng.Perm(n)[:600]
+				slices.Sort(picked)
+				src := make([]VID, len(picked))
+				for i, p := range picked {
+					src[i] = VID(order[p])
 				}
-				got := make([]bool, len(src))
-				batch.CanPruneBatch(src, got)
+				got := pruneInCalls(batch.CanPruneBatch, src, width)
 				for i, s := range src {
 					if want := scalar.CanPrune(s, pos[s]); got[i] != want {
 						t.Fatalf("lane %d source %d: batch pruned=%v, scalar pruned=%v", i, s, got[i], want)
 					}
+				}
+				if batch.Stats.Batches != 10 {
+					t.Fatalf("ran %d groups, want 10", batch.Stats.Batches)
 				}
 			})
 		}
 	}
 }
 
-// TestBatchFilterMixedWidthScratchReuse alternates widths on one shared
-// scratch: the per-width lane states must not contaminate each other, and a
-// filter re-capped mid-stream must keep answering exactly.
+// TestBatchFilterMixedWidthScratchReuse alternates a BatchBFSFilter and a
+// BatchPrefixFilter on one shared scratch while varying the call width: a
+// group that leaves lane state behind would corrupt the next group, the
+// next call or the other filter.
 func TestBatchFilterMixedWidthScratchReuse(t *testing.T) {
 	g := bfRandomGraph(640, 2600, 14)
 	n := g.NumVertices()
 	sc := NewScratch(n)
 	scalar := NewBFSFilter(g, 5, nil)
 	batch := NewBatchBFSFilterWith(g, 5, nil, sc)
+	pos := make([]int32, n)
+	for v := range pos {
+		pos[v] = int32(n - 1 - v) // reverse order: sources ascend by position
+	}
+	scalarPrefix := NewPrefixFilterWith(g, 5, pos, nil)
+	batchPrefix := NewBatchPrefixFilterWith(g, 5, pos, sc)
 	src := make([]VID, n)
+	prefixSrc := make([]VID, n)
 	for v := range src {
 		src[v] = VID(v)
+		prefixSrc[v] = VID(n - 1 - v)
 	}
-	got := make([]bool, n)
-	for round, lanes := range []int{512, 64, 256, 512, 64} {
-		batch.SetLanes(lanes)
-		batch.CanPruneBatch(src, got)
+	for round, width := range []int{512, 64, 256, 600, 24} {
+		got := pruneInCalls(batch.CanPruneBatch, src, width)
 		for v, p := range got {
 			if want := scalar.CanPrune(VID(v)); p != want {
-				t.Fatalf("round %d (W=%d) source %d: batch=%v scalar=%v", round, lanes, v, p, want)
+				t.Fatalf("round %d (W=%d) source %d: batch=%v scalar=%v", round, width, v, p, want)
+			}
+		}
+		got = pruneInCalls(batchPrefix.CanPruneBatch, prefixSrc, width)
+		for i, p := range got {
+			v := prefixSrc[i]
+			if want := scalarPrefix.CanPrune(v, pos[v]); p != want {
+				t.Fatalf("round %d (W=%d) prefix source %d: batch=%v scalar=%v", round, width, v, p, want)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"time"
 
 	"tdb/internal/dynamic"
@@ -122,10 +123,14 @@ func (s *Server) openDurable(c *Config) (*dynamic.Maintainer, error) {
 
 	// Durable barrier: checkpoint the recovered state, then start the new
 	// segment, then garbage-collect. A crash between any two steps leaves a
-	// directory the same recovery handles.
+	// directory the same recovery handles. Recover reads a missing data dir
+	// as empty, so create it before the first checkpoint lands in it.
 	var state bytes.Buffer
 	if err := m.WriteState(&state); err != nil {
 		return nil, fmt.Errorf("server: serializing recovered state: %w", err)
+	}
+	if err := os.MkdirAll(c.DataDir, 0o755); err != nil {
+		return nil, fmt.Errorf("server: creating data dir: %w", err)
 	}
 	if err := wal.WriteCheckpoint(c.DataDir, rec.LastSeq, state.Bytes()); err != nil {
 		return nil, err

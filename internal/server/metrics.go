@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -14,11 +13,10 @@ import (
 // solveLabels is one per-solve execution profile: the dimensions a
 // dashboard slices solve traffic by. All values come out of core.Stats, so
 // the cardinality is tiny and bounded (a handful of strategies × two
-// filter tiers × three batch widths × the storage backends in use).
+// filter tiers × the storage backends in use).
 type solveLabels struct {
 	strategy   string // execution strategy the planner selected
 	filterTier string // "batched" (bit-parallel sweeps ran) or "scalar"
-	batchWidth int    // lane-group capacity of the batched filter (0 scalar)
 	storage    string // adjacency backend ("memory", "mapped", ...)
 }
 
@@ -35,10 +33,9 @@ func (ss *solveSeries) observe(st *core.Stats) {
 	l := solveLabels{
 		strategy:   st.Strategy,
 		filterTier: "scalar",
-		batchWidth: st.FilterBatchWidth,
 		storage:    st.Storage,
 	}
-	if st.FilterBatchWidth > 0 {
+	if st.Detector.Batches > 0 {
 		l.filterTier = "batched"
 	}
 	ss.mu.Lock()
@@ -53,12 +50,12 @@ func (ss *solveSeries) observe(st *core.Stats) {
 // so consecutive scrapes are byte-stable.
 func (ss *solveSeries) write(b *strings.Builder) {
 	const name = "tdbserve_solves_total"
-	fmt.Fprintf(b, "# HELP %s Completed solves by strategy, filter tier, batch width and storage backend.\n# TYPE %s counter\n", name, name)
+	fmt.Fprintf(b, "# HELP %s Completed solves by strategy, filter tier and storage backend.\n# TYPE %s counter\n", name, name)
 	ss.mu.Lock()
 	lines := make([]string, 0, len(ss.counts))
 	for l, v := range ss.counts {
-		lines = append(lines, fmt.Sprintf("%s{strategy=%q,filter_tier=%q,batch_width=%q,storage=%q} %d",
-			name, l.strategy, l.filterTier, strconv.Itoa(l.batchWidth), l.storage, v))
+		lines = append(lines, fmt.Sprintf("%s{strategy=%q,filter_tier=%q,storage=%q} %d",
+			name, l.strategy, l.filterTier, l.storage, v))
 	}
 	ss.mu.Unlock()
 	sort.Strings(lines)

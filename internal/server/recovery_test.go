@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"tdb/internal/digraph"
 	"tdb/internal/dynamic"
 	"tdb/internal/fault"
 	"tdb/internal/verify"
@@ -462,5 +463,99 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, series) {
 			t.Fatalf("metrics output missing %q:\n%s", series, body)
 		}
+	}
+}
+
+// TestDurableFreshNestedDataDir: a DataDir that does not exist yet — two
+// levels deep — is created on startup, takes an acknowledged write, and
+// serves that write back after a restart.
+func TestDurableFreshNestedDataDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "a", "b")
+	cfg := Config{K: soakK, MinLen: soakMinLen, NumVertices: soakBaseN,
+		DataDir: dir, Fsync: wal.FsyncAlways, CheckpointEvery: 1 << 30}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("startup on a fresh data dir: %v", err)
+	}
+	var resp UpdateResponse
+	if code := post(t, s, "/v1/update", `{"updates":[{"op":"insert","u":0,"v":1}],"wait":true}`, &resp); code != 200 {
+		t.Fatalf("write: code %d", code)
+	}
+	if resp.WALSeq != 1 {
+		t.Fatalf("acknowledged wal_seq = %d, want 1", resp.WALSeq)
+	}
+	shutdownServer(t, s)
+
+	s, err = New(cfg)
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	defer shutdownServer(t, s)
+	e := s.ring.Acquire()
+	defer e.Release()
+	if !digraph.HasArc(e.Graph(), 0, 1) {
+		t.Fatal("acknowledged edge 0->1 lost across restart")
+	}
+}
+
+// solveSeriesLines returns the tdbserve_solves_total sample lines of a
+// /metrics scrape.
+func solveSeriesLines(t *testing.T, s *Server) []string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if w.Code != 200 {
+		t.Fatalf("metrics: %d", w.Code)
+	}
+	var lines []string
+	for _, ln := range strings.Split(w.Body.String(), "\n") {
+		if strings.HasPrefix(ln, "tdbserve_solves_total{") {
+			lines = append(lines, ln)
+		}
+	}
+	return lines
+}
+
+// TestMetricsSolveSeries checks the per-solve series' label set: a TDB++
+// solve whose batched filter swept counts under filter_tier="batched", a
+// TDB solve (no filter) under "scalar", and every sample carries exactly
+// the strategy, filter_tier and storage labels.
+func TestMetricsSolveSeries(t *testing.T) {
+	s := seededTestServer(t, 400, 2400, 5, 21)
+	var resp SolveResponse
+	if code := post(t, s, "/v1/solve", `{}`, &resp); code != 200 {
+		t.Fatalf("TDB++ solve: code %d", code)
+	}
+	lines := solveSeriesLines(t, s)
+	if len(lines) != 1 || !strings.Contains(lines[0], `filter_tier="batched"`) {
+		t.Fatalf("after a batched solve, series = %q, want one batched sample", lines)
+	}
+	if code := post(t, s, "/v1/solve", `{"algorithm":"TDB"}`, &resp); code != 200 {
+		t.Fatalf("TDB solve: code %d", code)
+	}
+	lines = solveSeriesLines(t, s)
+	if len(lines) != 2 {
+		t.Fatalf("after a batched and a scalar solve, series = %q, want two samples", lines)
+	}
+	tiers := map[string]bool{}
+	for _, ln := range lines {
+		labels := ln[strings.Index(ln, "{")+1 : strings.Index(ln, "}")]
+		var keys []string
+		for _, kv := range strings.Split(labels, ",") {
+			k, v, _ := strings.Cut(kv, "=")
+			keys = append(keys, k)
+			if k == "filter_tier" {
+				tiers[v] = true
+			}
+		}
+		if got := strings.Join(keys, ","); got != "strategy,filter_tier,storage" {
+			t.Fatalf("sample %q has labels %s, want strategy,filter_tier,storage", ln, got)
+		}
+		if !strings.HasSuffix(ln, "} 1") {
+			t.Fatalf("sample %q: want a count of 1", ln)
+		}
+	}
+	if !tiers[`"batched"`] || !tiers[`"scalar"`] {
+		t.Fatalf("filter tiers %v, want batched and scalar", tiers)
 	}
 }
